@@ -4,15 +4,18 @@ One :class:`Cache` models one level of the hierarchy.  L3 caches are
 built with ``n_slices > 1`` and a :class:`~repro.memory.slices.SliceHash`;
 each slice has its own set array and its own C-Box statistics, matching
 the uncore performance-counter granularity of Section VI-A.
+
+A set's replacement state is created the first time an access touches
+it, and WBINVD drops every created set, so building a cache and flushing
+it cost O(touched sets) rather than O(all sets).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from .replacement import AdaptivePolicy, ReplacementPolicy, SetState, make_policy
+from .replacement import LazySets, ReplacementPolicy, SetState
 from .slices import SliceHash
 
 
@@ -78,18 +81,12 @@ class Cache:
         self.geometry = geometry
         self.policy = policy
         self.slice_hash = slice_hash
-        self._sets: List[List[SetState]] = [
-            [self._create_set(slice_id, index) for index in range(geometry.n_sets)]
-            for slice_id in range(geometry.n_slices)
+        self._sets: List[LazySets] = [
+            LazySets(policy, slice_id) for slice_id in range(geometry.n_slices)
         ]
         self.slice_stats: List[CacheStats] = [
             CacheStats() for _ in range(geometry.n_slices)
         ]
-
-    def _create_set(self, slice_id: int, index: int) -> SetState:
-        if isinstance(self.policy, AdaptivePolicy):
-            return self.policy.create_set_at(slice_id, index)
-        return self.policy.create_set()
 
     # ------------------------------------------------------------------
     # Address mapping
@@ -126,27 +123,31 @@ class Cache:
     def probe(self, physical_address: int) -> bool:
         """Check presence without touching replacement state or stats."""
         slice_id, set_index, tag = self.locate(physical_address)
-        return self._sets[slice_id][set_index].lookup(tag) is not None
+        cache_set = self._sets[slice_id].get(set_index)
+        return cache_set is not None and cache_set.lookup(tag) is not None
 
     def invalidate_line(self, physical_address: int) -> bool:
         """CLFLUSH one line; returns whether it was present."""
         slice_id, set_index, tag = self.locate(physical_address)
-        return self._sets[slice_id][set_index].invalidate(tag)
+        cache_set = self._sets[slice_id].get(set_index)
+        return cache_set is not None and cache_set.invalidate(tag)
 
     def invalidate_all(self) -> None:
-        """WBINVD: empty every set."""
+        """WBINVD: empty every set by dropping all created sets."""
         for slice_sets in self._sets:
-            for cache_set in slice_sets:
-                cache_set.invalidate_all()
+            slice_sets.clear()
 
     # ------------------------------------------------------------------
     # Introspection (tests / tools)
     # ------------------------------------------------------------------
-    def set_contents(self, slice_id: int, set_index: int):
-        return self._sets[slice_id][set_index].contents()
-
     def set_state(self, slice_id: int, set_index: int) -> SetState:
+        """The set's state, created on first touch."""
         return self._sets[slice_id][set_index]
+
+    @property
+    def live_sets(self) -> int:
+        """Sets created since construction or the last WBINVD."""
+        return sum(len(slice_sets) for slice_sets in self._sets)
 
     @property
     def total_stats(self) -> CacheStats:

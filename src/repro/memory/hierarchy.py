@@ -14,14 +14,11 @@ Models the structure the cache case study (Section VI) targets:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import RunawayBenchmarkError
-from .cache import Cache, CacheGeometry
-from .replacement import ReplacementPolicy
-from .slices import SliceHash
+from .cache import Cache
 
 
 @dataclass(frozen=True)
@@ -191,10 +188,6 @@ class MemoryHierarchy:
                 block = (evicted_tag << geo.index_bits) | set_index
                 evicted_address = block << geo.offset_bits
         return hit, evicted_address
-
-    def _fill_chain(self, address: int, miss_below: int) -> None:
-        """Install *address* into levels above the one that hit."""
-        # (handled inline by access(); kept for symmetry)
 
     def access(self, address: int, *, is_write: bool = False,
                is_prefetch: bool = False) -> AccessResult:

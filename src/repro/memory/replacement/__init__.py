@@ -20,7 +20,7 @@ from .adaptive import (
     PselCounter,
     SetDuelingConfig,
 )
-from .base import ReplacementPolicy, SetState, simulate_hits
+from .base import LazySets, ReplacementPolicy, SetState, simulate_hits
 from .lru import FIFO, LRU
 from .mru import MRU, MRUSandyBridge
 from .permutation import (
@@ -73,6 +73,7 @@ __all__ = [
     "DedicatedRange",
     "FIFO",
     "LRU",
+    "LazySets",
     "MRU",
     "MRUSandyBridge",
     "PLRU",

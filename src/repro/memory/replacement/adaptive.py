@@ -19,11 +19,11 @@ misses in policy-B dedicated sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from .base import ReplacementPolicy, SetState
-from .qlru import QLRU, QLRUSpec, _QLRUSet
+from .qlru import QLRUSpec, _QLRUSet
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,10 @@ class _FollowerSet(_QLRUSet):
 class AdaptivePolicy(ReplacementPolicy):
     """Set-dueling policy for one cache slice.
 
-    Unlike the simple policies this one is position-aware: the cache
-    must create sets through :meth:`create_set_at` so each set knows its
-    slice and index.  ``create_set`` (index-less) returns a policy-A set
-    and exists only to satisfy the base interface.
+    Unlike the simple policies this one is position-aware: it overrides
+    :meth:`create_set_at`, through which the cache creates every set, so
+    each set knows its slice and index.  ``create_set`` (index-less)
+    returns a policy-A set and exists only to satisfy the base interface.
     """
 
     def __init__(self, associativity: int, config: SetDuelingConfig,

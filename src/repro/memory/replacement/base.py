@@ -8,6 +8,9 @@ chooses a victim and installs a new tag.
 Way *positions* matter: the paper's QLRU variants are defined in terms of
 "leftmost"/"rightmost" locations (Section VI-B2), so :class:`SetState`
 exposes ways as an ordered array where index 0 is the leftmost location.
+
+Caches and TLBs hold their sets in :class:`LazySets`, which creates a
+set on first touch and implements WBINVD by dropping the created sets.
 """
 
 from __future__ import annotations
@@ -18,7 +21,13 @@ from typing import List, Optional, Tuple
 
 
 class SetState(ABC):
-    """Replacement metadata and contents of one cache set."""
+    """Replacement metadata and contents of one cache set.
+
+    Invariant: a fresh set equals the same set after
+    :meth:`invalidate_all` (contents and every piece of metadata a
+    later access can observe).  Caches and TLBs rely on it to create
+    sets lazily and to implement WBINVD by dropping them.
+    """
 
     def __init__(self, associativity: int) -> None:
         if associativity < 1:
@@ -122,6 +131,11 @@ class ReplacementPolicy(ABC):
 
     ``name`` is the identifier used in CPU specs, in inference-tool
     output and in Table I (e.g. ``"PLRU"`` or ``"QLRU_H11_M1_R0_U0"``).
+
+    Every policy must keep two properties, because sets are created on
+    first touch and WBINVD drops them: a set from :meth:`create_set_at`
+    equals that set after ``invalidate_all``, and creating a set draws
+    nothing from ``rng`` (only accesses may draw from it).
     """
 
     name: str = "?"
@@ -135,6 +149,14 @@ class ReplacementPolicy(ABC):
     def create_set(self) -> SetState:
         """Create state for one cache set."""
 
+    def create_set_at(self, slice_id: int, set_index: int) -> SetState:
+        """Create state for the set at *set_index* of *slice_id*.
+
+        Position-independent policies ignore the position; set-dueling
+        policies override this to place their dedicated sets.
+        """
+        return self.create_set()
+
     @property
     def is_deterministic(self) -> bool:
         """Whether the policy's behaviour is input-deterministic."""
@@ -142,6 +164,29 @@ class ReplacementPolicy(ABC):
 
     def __repr__(self) -> str:
         return "%s(assoc=%d)" % (self.name, self.associativity)
+
+
+class LazySets(dict):
+    """Set index -> :class:`SetState` of one slice, created on first touch.
+
+    Indexing an absent set creates it through the policy; ``get`` does
+    not, so reads that must not disturb state (probes, CLFLUSH) answer
+    "absent" for an untouched set.  ``clear`` is WBINVD: it drops every
+    created set, which the :class:`ReplacementPolicy` invariant makes
+    equivalent to resetting each one.  Construction and WBINVD therefore
+    cost O(touched sets), not O(all sets).
+    """
+
+    def __init__(self, policy: ReplacementPolicy, slice_id: int = 0) -> None:
+        super().__init__()
+        self.policy = policy
+        self.slice_id = slice_id
+
+    def __missing__(self, set_index: int) -> SetState:
+        state = self[set_index] = self.policy.create_set_at(
+            self.slice_id, set_index
+        )
+        return state
 
 
 def simulate_hits(policy: ReplacementPolicy, sequence, *,

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..errors import RunawayBenchmarkError
-from .replacement import ReplacementPolicy, make_policy
+from .replacement import LazySets, make_policy
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,14 @@ class TlbGeometry:
 
 
 class Tlb:
-    """One set-associative TLB level."""
+    """One set-associative TLB level (sets created on first touch)."""
 
     def __init__(self, geometry: TlbGeometry, policy: str = "LRU",
                  rng: Optional[random.Random] = None) -> None:
         self.geometry = geometry
-        factory = make_policy(policy, geometry.associativity, rng=rng)
-        self._sets = [factory.create_set()
-                      for _ in range(geometry.n_sets)]
+        self._sets = LazySets(
+            make_policy(policy, geometry.associativity, rng=rng)
+        )
         self.hits = 0
         self.misses = 0
 
@@ -72,12 +72,17 @@ class Tlb:
 
     def probe(self, virtual_address: int) -> bool:
         set_index, tag = self._locate(virtual_address)
-        return self._sets[set_index].lookup(tag) is not None
+        entry_set = self._sets.get(set_index)
+        return entry_set is not None and entry_set.lookup(tag) is not None
 
     def flush(self) -> None:
         """Drop all translations (a CR3 write / full INVLPG)."""
-        for entry_set in self._sets:
-            entry_set.invalidate_all()
+        self._sets.clear()
+
+    @property
+    def live_sets(self) -> int:
+        """Sets created since construction or the last flush."""
+        return len(self._sets)
 
 
 @dataclass(frozen=True)
