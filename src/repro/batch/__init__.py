@@ -9,12 +9,6 @@ pool, memoizes assembly/codegen per worker, and streams bit-identical
 (to serial execution) results back in order.
 """
 
-from .checkpoint import (
-    CheckpointJournal,
-    journal_record,
-    result_from_record,
-    spec_digest,
-)
 from .pool import ItemOutcome, ResilientPool
 from .runner import (
     BatchReport,
@@ -23,20 +17,26 @@ from .runner import (
     parallel_map,
     run_batch,
 )
-from .spec import BatchResult, BenchmarkSpec, spec_from_run_kwargs
+from .spec import (
+    BatchResult,
+    BenchmarkSpec,
+    result_from_record,
+    result_record,
+    spec_digest,
+    spec_from_run_kwargs,
+)
 
 __all__ = [
     "BatchReport",
     "BatchResult",
     "BatchRunner",
     "BenchmarkSpec",
-    "CheckpointJournal",
     "ItemOutcome",
     "ResilientPool",
     "default_jobs",
-    "journal_record",
     "parallel_map",
     "result_from_record",
+    "result_record",
     "run_batch",
     "spec_digest",
     "spec_from_run_kwargs",

@@ -15,10 +15,9 @@ individual measurement, so the engine
 * is **self-healing**: worker deaths and per-spec timeouts requeue the
   affected spec on another worker (:mod:`repro.batch.pool`), transient
   failures are retried, hard failures are captured per spec instead of
-  aborting the sweep, and an optional JSONL **checkpoint journal**
-  (:mod:`repro.batch.checkpoint`) lets an interrupted sweep resume
-  without re-running completed specs — byte-identical to an
-  uninterrupted run;
+  aborting the sweep, and an optional durable **result store**
+  (:mod:`repro.store`) lets an interrupted sweep resume without
+  re-running completed specs — byte-identical to an uninterrupted run;
 * reports progress via a callback and aggregates per-spec cost and
   recovery accounting into a :class:`BatchReport`.
 
@@ -44,14 +43,14 @@ from ..core.codecache import cache_stats
 from ..errors import is_retryable
 from ..faults.plan import active_plan
 from ..store import ResultStore, open_store
-from .checkpoint import (
-    CheckpointJournal,
-    journal_record,
+from .pool import ItemOutcome, ResilientPool, inject_spec_fault, item_fault_key
+from .spec import (
+    BatchResult,
+    BenchmarkSpec,
     result_from_record,
+    result_record,
     spec_digest,
 )
-from .pool import ItemOutcome, ResilientPool, inject_spec_fault, item_fault_key
-from .spec import BatchResult, BenchmarkSpec
 
 #: Progress callback signature: ``(done, total, result)``.
 ProgressCallback = Callable[[int, int, BatchResult], None]
@@ -81,11 +80,9 @@ class BatchReport:
     sim_instructions: int = 0
     fast_path_instructions: int = 0
     fast_path_fallbacks: int = 0
-    #: Self-healing activity: specs replayed from the checkpoint
-    #: journal, spec executions beyond the first attempt (requeues
-    #: after crashes / hangs / transient errors), worker deaths
-    #: absorbed, and per-spec timeouts enforced.
-    n_replayed: int = 0
+    #: Self-healing activity: spec executions beyond the first attempt
+    #: (requeues after crashes / hangs / transient errors), worker
+    #: deaths absorbed, and per-spec timeouts enforced.
     n_requeues: int = 0
     n_worker_deaths: int = 0
     n_timeouts: int = 0
@@ -105,8 +102,6 @@ class BatchReport:
         self.n_specs += 1
         if not result.ok:
             self.n_errors += 1
-        if result.replayed:
-            self.n_replayed += 1
         self.n_requeues += max(0, result.attempts - 1)
         self.program_runs += result.program_runs
         self.simulated_cycles += result.simulated_cycles
@@ -145,19 +140,13 @@ class BatchRunner:
     max_requeues:
         How often one spec is requeued (worker death, timeout, or
         transient error) before its result reports the failure.
-    checkpoint:
-        Path of a legacy single-file JSONL checkpoint journal.
-        Completed specs are appended as they finish; on the next run
-        with the same path, specs already journaled are replayed
-        instead of re-executed, so an interrupted sweep resumes where
-        it stopped.  Superseded by ``store`` for anything long-lived.
     store:
         A durable content-addressed result store
         (:class:`repro.store.ResultStore`), or the path of one to open.
         Specs whose digest is already stored are answered from it
         without re-execution (across runs, processes, and tools);
-        fresh results are durably appended as they complete.  Mutually
-        exclusive with ``checkpoint``.
+        fresh results are durably appended as they complete, so an
+        interrupted sweep resumes where it stopped.
     """
 
     def __init__(
@@ -165,25 +154,14 @@ class BatchRunner:
         jobs: Optional[int] = 1,
         *,
         progress: Optional[ProgressCallback] = None,
-        chunk_size: Optional[int] = None,
         spec_timeout: Optional[float] = None,
         max_requeues: int = 2,
-        checkpoint: Optional[Union[str, "os.PathLike[str]"]] = None,
         store: Optional[Union[str, "os.PathLike[str]", ResultStore]] = None,
     ) -> None:
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self.progress = progress
-        # Retained for API compatibility; the supervised pool hands out
-        # one spec at a time (required for exact crash attribution).
-        self.chunk_size = chunk_size
         self.spec_timeout = spec_timeout
         self.max_requeues = max_requeues
-        if checkpoint is not None and store is not None:
-            raise ValueError(
-                "pass either checkpoint (legacy journal) or store "
-                "(durable result store), not both"
-            )
-        self.checkpoint = os.fspath(checkpoint) if checkpoint else None
         self.store = store
         self.last_report = BatchReport()
 
@@ -202,23 +180,12 @@ class BatchRunner:
         started = time.perf_counter()
         total = len(specs)
 
-        journal: Optional[CheckpointJournal] = None
         store: Optional[ResultStore] = None
         owns_store = False
         replayed: Dict[int, BatchResult] = {}
         digests: Dict[int, str] = {}
         to_run = list(range(total))
-        if self.checkpoint is not None:
-            journal = CheckpointJournal(self.checkpoint)
-            completed = journal.load()
-            to_run = []
-            for index, spec in enumerate(specs):
-                record = completed.get(spec_digest(spec))
-                if record is not None:
-                    replayed[index] = result_from_record(spec, record)
-                else:
-                    to_run.append(index)
-        elif self.store is not None:
+        if self.store is not None:
             store = open_store(self.store)
             owns_store = not isinstance(self.store, ResultStore)
             to_run = []
@@ -244,14 +211,12 @@ class BatchRunner:
                     result = replayed.pop(index)
                 else:
                     result = next(fresh)
-                    if journal is not None:
-                        journal.append(index, specs[index], result)
                     if store is not None:
                         # The ack point of the durability contract: the
                         # record is flushed (and fsynced) before the
                         # result is reported downstream.
                         store.put(digests[index],
-                                  journal_record(index, specs[index], result))
+                                  result_record(index, specs[index], result))
                 done += 1
                 report.add(result)
                 report.host_seconds = time.perf_counter() - started
@@ -260,8 +225,6 @@ class BatchRunner:
                 yield result
         finally:
             fresh.close()
-            if journal is not None:
-                journal.close()
             if store is not None and owns_store:
                 store.close()
             report.host_seconds = time.perf_counter() - started

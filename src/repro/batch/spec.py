@@ -8,19 +8,25 @@ every spec is executed on a **fresh**, deterministically-seeded
 :class:`~repro.uarch.core.SimulatedCore` keyed by ``(uarch, seed,
 kernel_mode)``, which makes the result a pure function of the spec and
 therefore independent of sharding, worker count, and execution order.
+
+:func:`spec_digest` is a spec's content address in the durable result
+store (:mod:`repro.store`); :func:`result_record` and
+:func:`result_from_record` are the codec between a
+:class:`BatchResult` and its stored record.
 """
 
 from __future__ import annotations
 
+import hashlib
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
-
-import time
 
 from ..core.nanobench import NanoBench
 from ..core.options import NanoBenchOptions
 from ..errors import ReproError
 from ..integrity.stability import StabilityPolicy
+from ..store.records import RECORD_VERSION
 
 
 def _freeze_options(options) -> Tuple[Tuple[str, object], ...]:
@@ -61,10 +67,10 @@ class BenchmarkSpec:
     label: str = ""
     #: ``StabilityPolicy`` field overrides, frozen like ``options``;
     #: empty (the default) disables stability control for this spec and
-    #: keeps old journal digests valid.
+    #: keeps old stored digests valid.
     stability: Tuple[Tuple[str, object], ...] = ()
     #: Measurement backend to execute on (a registry name); ``"sim"``
-    #: (the default) keeps old journal digests valid.
+    #: (the default) keeps old stored digests valid.
     backend: str = "sim"
 
     def __post_init__(self) -> None:
@@ -170,7 +176,7 @@ class BatchResult:
     #: Executions of this spec including requeues after worker crashes,
     #: hangs, and transient (injected) failures.
     attempts: int = 1
-    #: True when the result was replayed from a checkpoint journal
+    #: True when the result was answered from the result store
     #: instead of being executed in this run.
     replayed: bool = False
     #: Stability verdict (``stable`` / ``escalated`` /
@@ -182,7 +188,7 @@ class BatchResult:
     #: actually served the answer (``analytic`` / ``sim`` /
     #: ``sim-exact``), whether the answer was in the audit sample, and
     #: whether the audit escalated it.  Empty / False for direct
-    #: backends, which keeps old journal records replayable.
+    #: backends, which keeps old stored records replayable.
     served_by: str = ""
     router_audited: bool = False
     router_audit_failed: bool = False
@@ -190,6 +196,69 @@ class BatchResult:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+#: BatchResult fields copied verbatim into / out of a stored record.
+#: Append-only: ``result_from_record`` reads each field with ``if name
+#: in record``, so old stored records missing the newer fields stay
+#: replayable (they fall back to the BatchResult defaults).
+_RESULT_FIELDS = (
+    "error", "host_seconds", "program_runs", "counter_groups",
+    "simulated_cycles", "assemble_hits", "assemble_misses",
+    "generate_hits", "generate_misses", "sim_instructions",
+    "fast_path_instructions", "fast_path_fallbacks", "attempts",
+    "quality_verdict", "backend", "served_by", "router_audited",
+    "router_audit_failed",
+)
+
+
+def spec_digest(spec: BenchmarkSpec) -> str:
+    """Content digest identifying one spec across processes and runs."""
+    fields = [
+        spec.asm, spec.asm_init, spec.events, spec.uarch, spec.seed,
+        spec.kernel_mode, spec.options, spec.label,
+    ]
+    # Appended only when set, so stored digests written before the
+    # stability field existed stay valid (and replayable).
+    if getattr(spec, "stability", ()):
+        fields.append(spec.stability)
+    # Same backward-compatibility rule: the default "sim" backend keeps
+    # pre-backend stored digests valid.
+    if getattr(spec, "backend", "sim") != "sim":
+        fields.append(spec.backend)
+    identity = repr(tuple(fields))
+    return hashlib.sha256(identity.encode()).hexdigest()
+
+
+def result_record(index: int, spec: BenchmarkSpec,
+                  result: BatchResult) -> dict:
+    """The record describing one completed spec, before the store adds
+    its ``ts`` and ``sha`` fields."""
+    record = {
+        "v": RECORD_VERSION,
+        "digest": spec_digest(spec),
+        "index": index,
+        "label": spec.label,
+        "values": result.values,
+    }
+    for name in _RESULT_FIELDS:
+        record[name] = getattr(result, name)
+    return record
+
+
+def result_from_record(spec: BenchmarkSpec, record: dict) -> BatchResult:
+    """Rebuild the :class:`BatchResult` a stored record describes."""
+    result = BatchResult(
+        spec=spec,
+        values=dict(record.get("values", {})),
+        replayed=True,
+        # Pre-backend records carry no backend field; the spec knows.
+        backend=getattr(spec, "backend", "sim"),
+    )
+    for name in _RESULT_FIELDS:
+        if name in record:
+            setattr(result, name, record[name])
+    return result
 
 
 def spec_from_run_kwargs(

@@ -32,7 +32,6 @@ store (``-store DIR``); the ``store`` subcommand maintains it offline::
 
     nanobench -batch benchmarks.txt -store results.store
     nanobench store stats results.store
-    nanobench store import results.store old-journal.jsonl
 
 The same store can back a long-lived benchmark server — multi-tenant
 job queue, per-client quotas, crash-safe journal, graceful drain —
@@ -145,11 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-max_requeues", type=int, default=2, metavar="N",
                         help="requeues per benchmark after worker "
                              "deaths/timeouts in -batch mode (default 2)")
-    parser.add_argument("-checkpoint", default=None, metavar="FILE",
-                        help="deprecated alias of -store: an existing "
-                             "legacy JSONL journal at FILE is migrated "
-                             "into a durable store rooted there and the "
-                             "sweep runs against the store")
     parser.add_argument("-store", default=None, metavar="DIR",
                         help="durable result store for -batch mode: "
                              "completed benchmarks are recorded "
@@ -568,8 +562,7 @@ def run_store(argv: List[str]) -> int:
     ``stats`` and ``verify`` inspect (``verify`` never modifies the
     store, so a damaged one can be examined before recovery touches
     it); ``compact`` merges all segments dropping superseded
-    duplicates; ``gc`` evicts by TTL and/or size budget; ``import``
-    migrates legacy checkpoint journals.
+    duplicates; ``gc`` evicts by TTL and/or size budget.
     """
     parser = argparse.ArgumentParser(
         prog="nanobench store",
@@ -581,18 +574,13 @@ def run_store(argv: List[str]) -> int:
                "2 = bad usage",
     )
     parser.add_argument("action",
-                        choices=("stats", "verify", "compact", "gc",
-                                 "import"),
+                        choices=("stats", "verify", "compact", "gc"),
                         help="stats: occupancy and counters (exit 1 if "
                              "the integrity scan finds damage); verify: "
                              "read-only integrity scan (exit 1 if "
                              "recovery is needed); compact: merge "
-                             "segments; gc: evict by -ttl/-max_bytes; "
-                             "import: migrate legacy journal(s)")
+                             "segments; gc: evict by -ttl/-max_bytes")
     parser.add_argument("root", metavar="DIR", help="store directory")
-    parser.add_argument("journals", nargs="*", metavar="JOURNAL",
-                        help="legacy checkpoint journal file(s) "
-                             "(import action only)")
     parser.add_argument("-ttl", type=float, default=None, metavar="SECONDS",
                         help="gc: evict records older than SECONDS")
     parser.add_argument("-max_bytes", type=int, default=None, metavar="N",
@@ -601,19 +589,10 @@ def run_store(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     from ..store import ResultStore, verify_store
 
-    if args.journals and args.action != "import":
-        print("error: journal arguments only apply to the 'import' action",
-              file=sys.stderr)
-        return 2
-    if args.action == "import" and not args.journals:
-        print("error: 'import' needs at least one journal file",
-              file=sys.stderr)
-        return 2
     if args.action == "gc" and args.ttl is None and args.max_bytes is None:
         print("error: 'gc' needs -ttl and/or -max_bytes", file=sys.stderr)
         return 2
-    if args.action in ("stats", "verify", "compact", "gc") \
-            and not os.path.isdir(args.root):
+    if not os.path.isdir(args.root):
         print("error: %s is not a store directory" % args.root,
               file=sys.stderr)
         return 1
@@ -642,12 +621,8 @@ def run_store(argv: List[str]) -> int:
                 kept = store.compact()
                 print("compacted %s to %d live record(s), %d byte(s)"
                       % (args.root, kept, store.stats().disk_bytes))
-            elif args.action == "gc":
-                print(store.gc(args.ttl, args.max_bytes).describe())
             else:
-                for journal in args.journals:
-                    stats = store.import_journal(journal)
-                    print("%s: %s" % (journal, stats.describe()))
+                print(store.gc(args.ttl, args.max_bytes).describe())
         return 0
     except (ReproError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -779,40 +754,10 @@ def _main_with_args(args) -> int:
     return 0
 
 
-def _migrate_checkpoint_to_store(path: str) -> str:
-    """Route the deprecated ``-checkpoint`` flag through the store.
-
-    An existing legacy single-file journal at *path* is set aside as
-    ``path + ".legacy-journal"`` and imported into a durable store
-    rooted at *path*; a missing path (or an existing store directory)
-    is used as the store root directly.  Returns the store root.
-    """
-    print("# note: -checkpoint is deprecated; completed benchmarks now "
-          "live in a durable result store at %s (use -store DIR)" % path,
-          file=sys.stderr)
-    if os.path.isfile(path):
-        from ..store import ResultStore
-
-        legacy = path + ".legacy-journal"
-        os.replace(path, legacy)
-        with ResultStore(path) as store:
-            stats = store.import_journal(legacy)
-        print("# note: migrated legacy journal %s into the store (%s)"
-              % (legacy, stats.describe()), file=sys.stderr)
-    return path
-
-
 def _run_batch_mode(args, options: NanoBenchOptions, config) -> int:
     """The ``-batch`` path: shard the file's benchmarks over workers."""
     from ..batch import BatchRunner, BenchmarkSpec
 
-    store = args.store
-    if args.checkpoint is not None:
-        if store is not None:
-            print("error: pass either -store or the deprecated "
-                  "-checkpoint, not both", file=sys.stderr)
-            return 1
-        store = _migrate_checkpoint_to_store(args.checkpoint)
     try:
         entries = parse_batch_file(args.batch)
     except OSError as exc:
@@ -855,7 +800,7 @@ def _run_batch_mode(args, options: NanoBenchOptions, config) -> int:
         progress=progress,
         spec_timeout=args.spec_timeout,
         max_requeues=args.max_requeues,
-        store=store,
+        store=args.store,
     )
     status = 0
     for result in runner.iter_results(specs):
@@ -869,7 +814,7 @@ def _run_batch_mode(args, options: NanoBenchOptions, config) -> int:
             status = 1
     report = runner.last_report
     store_summary = ""
-    if store is not None:
+    if args.store is not None:
         store_summary = ("; store: %d hits, %d misses"
                          % (report.n_store_hits, report.n_store_misses))
     print(
@@ -883,13 +828,10 @@ def _run_batch_mode(args, options: NanoBenchOptions, config) -> int:
            store_summary),
         file=sys.stderr,
     )
-    if report.n_replayed or report.n_requeues or report.n_worker_deaths \
-            or report.n_timeouts:
+    if report.n_requeues or report.n_worker_deaths or report.n_timeouts:
         print(
-            "# recovery: %d replayed from checkpoint, %d requeues, "
-            "%d worker deaths, %d timeouts"
-            % (report.n_replayed, report.n_requeues,
-               report.n_worker_deaths, report.n_timeouts),
+            "# recovery: %d requeues, %d worker deaths, %d timeouts"
+            % (report.n_requeues, report.n_worker_deaths, report.n_timeouts),
             file=sys.stderr,
         )
     if report.n_store_hits or report.n_store_misses:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..faults.plan import active_plan
 from ..x86.assembler import assemble
 from ..x86.instructions import Program
 from .codegen import CounterRead, GeneratedCode, generate
@@ -38,20 +37,9 @@ DEFAULT_GENERATE_CACHE_SIZE = 1024
 
 
 class LRUCache:
-    """A bounded mapping with least-recently-used eviction and stats.
+    """A bounded mapping with least-recently-used eviction and stats."""
 
-    Entries carry a content fingerprint taken at insertion.  When a
-    fault plan is active, every hit re-fingerprints the entry and a
-    mismatch — e.g. the chaos plane's ``cache.corrupt`` fault flipping
-    a stored fingerprint — discards the entry and rebuilds it from the
-    factory (``repairs``), so a corrupted cache degrades to a miss
-    instead of serving a wrong program.  Fault-free runs skip the
-    verification entirely (zero overhead on the hot path).
-    """
-
-    def __init__(self, maxsize: int,
-                 fingerprint: Optional[Callable[[object], object]] = None,
-                 name: str = "") -> None:
+    def __init__(self, maxsize: int, name: str = "") -> None:
         if maxsize < 1:
             raise ValueError("cache maxsize must be >= 1")
         self.maxsize = maxsize
@@ -60,11 +48,7 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.repairs = 0
-        self._fingerprint = fingerprint
-        #: key -> (value, fingerprint-at-insert)
         self._entries: "OrderedDict" = OrderedDict()
-        self._hit_count = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -72,41 +56,19 @@ class LRUCache:
     def __contains__(self, key) -> bool:
         return key in self._entries
 
-    def _insert(self, key, factory: Callable[[], object]):
-        value = factory()
-        mark = self._fingerprint(value) if self._fingerprint else None
-        self._entries[key] = (value, mark)
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return value
-
     def get_or_create(self, key, factory: Callable[[], object]):
         """Return the cached value for *key*, creating it on a miss."""
         self.lookups += 1
         try:
-            value, mark = self._entries[key]
+            value = self._entries[key]
         except KeyError:
             self.misses += 1
-            return self._insert(key, factory)
+            value = self._entries[key] = factory()
+            if len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+            return value
         self._entries.move_to_end(key)
-        plan = active_plan()
-        if plan is not None and self._fingerprint is not None:
-            self._hit_count += 1
-            if plan.fires("cache.corrupt",
-                          "%s#%d" % (self.name, self._hit_count)):
-                # Corrupt the stored entry in place: scramble its
-                # fingerprint so verification below must catch it.
-                mark = ("corrupted", mark)
-                self._entries[key] = (value, mark)
-            if self._fingerprint(value) != mark:
-                # A corrupted entry never served anyone: the lookup
-                # rebuilt from the factory exactly like a cold miss, so
-                # it counts as a miss plus a repair — not as a hit.
-                self.misses += 1
-                self.repairs += 1
-                del self._entries[key]
-                return self._insert(key, factory)
         self.hits += 1
         return value
 
@@ -124,13 +86,11 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.repairs = 0
-        self._hit_count = 0
 
     def stats(self) -> Dict[str, int]:
-        # Every lookup is exactly one hit or one miss (a repaired
-        # lookup is a miss); a drifting invariant here means a new
-        # code path forgot to classify its outcome.
+        # Every lookup is exactly one hit or one miss; a drifting
+        # invariant here means a new code path forgot to classify its
+        # outcome.
         assert self.hits + self.misses == self.lookups, (
             "%s cache stats out of balance: %d hits + %d misses != %d "
             "lookups" % (self.name, self.hits, self.misses, self.lookups)
@@ -142,20 +102,11 @@ class LRUCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "repairs": self.repairs,
         }
 
 
-# str(Program) round-trips the full instruction stream, so it doubles
-# as the integrity fingerprint of cached programs.
-_assemble_cache = LRUCache(
-    DEFAULT_ASSEMBLE_CACHE_SIZE, fingerprint=str, name="assemble"
-)
-_generate_cache = LRUCache(
-    DEFAULT_GENERATE_CACHE_SIZE,
-    fingerprint=lambda generated: str(generated.program),
-    name="generate",
-)
+_assemble_cache = LRUCache(DEFAULT_ASSEMBLE_CACHE_SIZE, name="assemble")
+_generate_cache = LRUCache(DEFAULT_GENERATE_CACHE_SIZE, name="generate")
 
 
 def cached_assemble(source: str) -> Program:

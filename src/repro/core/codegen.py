@@ -405,8 +405,3 @@ def generate(
         no_mem=options.no_mem,
         unroll_region=unroll_region,
     )
-
-
-def initial_register_values() -> Dict[str, int]:
-    """Register initialisation of Section III-G."""
-    return dict(SCRATCH_REGISTERS)

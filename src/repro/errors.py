@@ -48,14 +48,6 @@ class CounterOverflowError(TransientError):
     """
 
 
-class CacheCorruptionError(TransientError):
-    """Raised when a corrupted codegen-cache entry cannot be repaired.
-
-    Ordinarily corruption is detected by checksum and healed in place
-    by rebuilding the entry; this error is the escalation path.
-    """
-
-
 class InjectedFaultError(TransientError):
     """A chaos-plane fault injected at spec level (always transient)."""
 

@@ -4,7 +4,7 @@ A :class:`FaultPlan` names fault classes and per-site rates; every
 decision is a pure function of ``(seed, site, key)``, so chaos runs are
 reproducible and — because every fault class has a recovery path in the
 measurement stack — byte-identical to fault-free runs once retries,
-requeues and checkpoint resume have done their work.
+requeues and store resume have done their work.
 
 ::
 

@@ -51,9 +51,7 @@ ENV_SEED = "REPRO_FAULTS_SEED"
 #:   counter crosses its wrap boundary between the two counter reads of
 #:   a run, producing a negative (or implausibly huge) delta;
 #: * ``freq.transition`` — a mid-run APERF/MPERF frequency transition
-#:   that shifts the measured core/reference clock ratio;
-#: * ``cache.corrupt`` — a codegen-cache entry is corrupted in place
-#:   (detected by checksum, repaired by rebuild).
+#:   that shifts the measured core/reference clock ratio.
 #:
 #: Batch-plane faults (fired inside worker processes, keyed by
 #: ``"index:attempt"`` so a requeued item does not re-fire):
@@ -92,7 +90,6 @@ DEFAULT_RATES: Dict[str, float] = {
     "kernel.alloc": 0.02,
     "counter.overflow": 0.01,
     "freq.transition": 0.02,
-    "cache.corrupt": 0.01,
     "worker.death": 0.05,
     "worker.hang": 0.03,
     "spec.error": 0.05,

@@ -184,12 +184,3 @@ class AdaptivePolicy(ReplacementPolicy):
         return _FollowerSet(
             self.associativity, self._spec_a, self._spec_b, self.psel, self.rng
         )
-
-    def fixed_policy_name(self, slice_id: int, set_index: int) -> Optional[str]:
-        """Ground-truth policy of a dedicated set, or None for followers."""
-        kind = self.config.classify(slice_id, set_index)
-        if kind == "A":
-            return self.config.policy_a
-        if kind == "B":
-            return self.config.policy_b
-        return None

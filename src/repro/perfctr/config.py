@@ -71,12 +71,6 @@ class CounterConfig:
     def names(self) -> Tuple[str, ...]:
         return tuple(event.name for event in self.events)
 
-    def core_events(self) -> Tuple[PerfEvent, ...]:
-        return tuple(e for e in self.events if not e.uncore)
-
-    def uncore_events(self) -> Tuple[PerfEvent, ...]:
-        return tuple(e for e in self.events if e.uncore)
-
 
 def parse_config(text: str, catalog: Dict[str, PerfEvent],
                  filename: Optional[str] = None) -> CounterConfig:

@@ -460,8 +460,7 @@ class RoutedBench:
 
     def _record_divergence(self, served, values, exact_values, violations,
                            asm, asm_init, events, option_overrides) -> None:
-        from ..batch.checkpoint import spec_digest
-        from ..batch.spec import spec_from_run_kwargs
+        from ..batch.spec import spec_digest, spec_from_run_kwargs
         from ..fuzz.corpus import DivergenceRecord
 
         spec = spec_from_run_kwargs(

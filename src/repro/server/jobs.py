@@ -33,15 +33,10 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..batch.checkpoint import spec_digest
-from ..batch.spec import BenchmarkSpec
+from ..batch.spec import BenchmarkSpec, spec_digest
 from ..errors import StoreError
 from ..faults.plan import active_plan, fault_fraction
-from ..store.records import (
-    STORE_SHA_HEXDIGITS,
-    encode_record,
-    record_checksum,
-)
+from ..store.records import encode_record, record_checksum
 from ..store.segment import scan_segment
 
 #: Journal file name inside the store root.
@@ -172,7 +167,7 @@ def job_record(job: Job, ts: float) -> dict:
         "recoveries": job.recoveries,
         "error": job.error,
     }
-    record["sha"] = record_checksum(record, hexdigits=STORE_SHA_HEXDIGITS)
+    record["sha"] = record_checksum(record)
     return record
 
 

@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import os
 
 from ..backends.registry import DEFAULT_BACKEND
-from ..batch.checkpoint import spec_digest
 from ..batch.runner import BatchRunner
 from ..batch.spec import BenchmarkSpec
 from ..errors import (

@@ -16,14 +16,12 @@ size-budget eviction, and advisory-lock multi-process safety.
     runner.run(specs)        # resubmitted specs answer from the store
 
 See the ``nanobench store`` CLI subcommand for offline maintenance
-(``stats`` / ``verify`` / ``compact`` / ``gc`` / ``import``).
+(``stats`` / ``verify`` / ``compact`` / ``gc``).
 """
 
 from .locking import FileLock
 from .records import (
-    JOURNAL_SHA_HEXDIGITS,
     RECORD_VERSION,
-    STORE_SHA_HEXDIGITS,
     canonical_payload,
     encode_record,
     parse_record_line,
@@ -41,7 +39,6 @@ from .segment import (
 from .store import (
     DEFAULT_SEGMENT_BYTES,
     EvictionStats,
-    ImportStats,
     ResultStore,
     StoreStats,
     VerifyReport,
@@ -55,11 +52,8 @@ __all__ = [
     "DEFAULT_SEGMENT_BYTES",
     "EvictionStats",
     "FileLock",
-    "ImportStats",
-    "JOURNAL_SHA_HEXDIGITS",
     "RECORD_VERSION",
     "ResultStore",
-    "STORE_SHA_HEXDIGITS",
     "SegmentScan",
     "StoreStats",
     "VerifyReport",

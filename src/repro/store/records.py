@@ -1,17 +1,12 @@
-"""Record encoding shared by the durable store and the legacy journal.
+"""Record encoding shared by the durable store and the job journal.
 
 A *record* is one flat JSON object with a mandatory ``digest`` key (the
-content address — the spec digest for benchmark results) and an
-optional ``sha`` key: a SHA-256 over the canonical serialization of
-every *other* key.  The checksum turns silent bit-rot into a detected,
-recoverable condition: a record whose stored ``sha`` no longer matches
-is treated as corrupt, quarantined, and re-executed on demand.
-
-The legacy checkpoint journal (:mod:`repro.batch.checkpoint`) stores a
-16-hex-digit truncated checksum; the durable store uses the full 64
-digits.  :func:`record_checksum` takes the width so both validate with
-the same code path, and :func:`validate_record` infers the width from
-the stored value — which is what keeps old journals importable.
+content address — the spec digest for benchmark results) and a
+mandatory ``sha`` key: the full 64-hex-digit SHA-256 over the canonical
+serialization of every *other* key.  The checksum turns silent bit-rot
+into a detected, recoverable condition: a record whose ``sha`` is
+missing or no longer matches is treated as corrupt, quarantined, and
+re-executed on demand.
 """
 
 from __future__ import annotations
@@ -20,12 +15,8 @@ import hashlib
 import json
 from typing import Optional, Tuple
 
-#: Record format version embedded by the durable store.
+#: Record format version embedded in every benchmark-result record.
 RECORD_VERSION = 1
-
-#: Checksum widths: the journal's truncated form and the store's full form.
-JOURNAL_SHA_HEXDIGITS = 16
-STORE_SHA_HEXDIGITS = 64
 
 
 def canonical_payload(record: dict) -> dict:
@@ -33,22 +24,19 @@ def canonical_payload(record: dict) -> dict:
     return {k: v for k, v in record.items() if k != "sha"}
 
 
-def record_checksum(record: dict,
-                    hexdigits: int = JOURNAL_SHA_HEXDIGITS) -> str:
-    """SHA-256 (truncated to *hexdigits*) over the canonical payload."""
-    digest = hashlib.sha256(
+def record_checksum(record: dict) -> str:
+    """SHA-256 (64 hex digits) over the canonical payload."""
+    return hashlib.sha256(
         json.dumps(canonical_payload(record), sort_keys=True).encode()
     ).hexdigest()
-    return digest[:hexdigits]
 
 
 def validate_record(record: object) -> Tuple[bool, str]:
     """Is *record* a structurally sound, checksum-clean record?
 
-    Returns ``(ok, reason)``; a record without a ``sha`` field is
-    accepted (legacy journals predate checksums).  The checksum width
-    is inferred from the stored value, so both journal-width and
-    store-width records validate.
+    Returns ``(ok, reason)``.  Every record must carry the full
+    64-hex-digit ``sha``: a missing key would otherwise let one damaged
+    byte of ``"sha"`` switch the record's checksum off.
     """
     if not isinstance(record, dict):
         return False, "not a JSON object"
@@ -57,10 +45,10 @@ def validate_record(record: object) -> Tuple[bool, str]:
         return False, "missing digest"
     sha = record.get("sha")
     if sha is None:
-        return True, ""
-    if not isinstance(sha, str) or not sha:
+        return False, "missing checksum"
+    if not isinstance(sha, str) or len(sha) != 64:
         return False, "malformed checksum"
-    if record_checksum(record, hexdigits=len(sha)) != sha:
+    if record_checksum(record) != sha:
         return False, "checksum mismatch"
     return True, ""
 

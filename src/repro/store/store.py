@@ -39,20 +39,18 @@ byte-identical to the original measurement (JSON round-trips floats via
 from __future__ import annotations
 
 import errno
-import json
 import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from ..errors import StoreError, StoreFullError
 from ..faults.plan import active_plan, fault_fraction
 from .locking import FileLock
 from .records import (
     RECORD_VERSION,
-    STORE_SHA_HEXDIGITS,
-    parse_record_line,
+    encode_record,
     record_checksum,
 )
 from .segment import (
@@ -186,18 +184,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-@dataclass
-class ImportStats:
-    """Outcome of one :meth:`ResultStore.import_journal` call."""
-
-    imported: int = 0
-    skipped: int = 0
-
-    def describe(self) -> str:
-        return ("imported %d record(s), skipped %d corrupt/invalid line(s)"
-                % (self.imported, self.skipped))
-
-
 class ResultStore:
     """Disk-backed content-addressed store of benchmark result records.
 
@@ -298,7 +284,7 @@ class ResultStore:
             tmp = path + TMP_SUFFIX
             with open(tmp, "wb") as handle:
                 for _, record in scan.records:
-                    handle.write(_encode(record))
+                    handle.write(encode_record(record))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
@@ -366,9 +352,8 @@ class ResultStore:
         record.setdefault("v", RECORD_VERSION)
         record["ts"] = float(time.time() if ts is None else ts)
         record.pop("sha", None)
-        record["sha"] = record_checksum(record,
-                                        hexdigits=STORE_SHA_HEXDIGITS)
-        line = _encode(record)
+        record["sha"] = record_checksum(record)
+        line = encode_record(record)
         with self._lock:
             self._append_locked(digest, line)
             self._index[digest] = record
@@ -480,11 +465,6 @@ class ResultStore:
         if over_bytes or over_records:
             self._rotate_locked()
 
-    def rotate(self) -> Optional[str]:
-        """Seal the active segment now; returns the new segment name."""
-        with self._lock:
-            return self._rotate_locked()
-
     def _next_segment_number(self) -> int:
         names = self._segment_names()
         return (segment_number(names[-1]) + 1) if names else 1
@@ -558,7 +538,7 @@ class ResultStore:
         if max_bytes is not None:
             # Oldest-first until the live set fits the budget.
             live.sort(key=lambda r: (float(r.get("ts", 0.0)), r["digest"]))
-            sizes = [len(_encode(record)) for record in live]
+            sizes = [len(encode_record(record)) for record in live]
             total = sum(sizes)
             drop = 0
             while drop < len(live) and total > max_bytes:
@@ -587,7 +567,7 @@ class ResultStore:
             try:
                 with open(tmp, "wb") as handle:
                     for index, record in enumerate(records):
-                        line = _encode(record)
+                        line = encode_record(record)
                         if (plan is not None and index == len(records) // 2
                                 and plan.fires("store.torn_write", key)):
                             cut = max(1, len(line) // 2)
@@ -667,35 +647,6 @@ class ResultStore:
         return verify_store(self.root)
 
     # ------------------------------------------------------------------
-    # Legacy-journal migration
-    # ------------------------------------------------------------------
-    def import_journal(self, path: Union[str, "os.PathLike[str]"]
-                       ) -> ImportStats:
-        """Migrate a legacy JSONL checkpoint journal into the store.
-
-        Journal records (16-hex truncated checksums, or none at all)
-        are validated, re-checksummed at store width, and appended;
-        corrupt lines are skipped with the count reported.  Replays are
-        byte-identical because the payload fields are untouched.
-        """
-        stats = ImportStats()
-        with open(path, "rb") as handle:
-            for raw in handle:
-                line = raw.strip()
-                if not line:
-                    continue
-                record, _ = parse_record_line(line)
-                if record is None:
-                    stats.skipped += 1
-                    continue
-                digest = record.pop("digest")
-                record.pop("sha", None)
-                record.pop("ts", None)
-                self.put(digest, record)
-                stats.imported += 1
-        return stats
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def _close_handle(self) -> None:
@@ -711,10 +662,6 @@ class ResultStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _encode(record: dict) -> bytes:
-    return (json.dumps(record) + "\n").encode("utf-8")
 
 
 def open_store(store: Union[str, "os.PathLike[str]", ResultStore],

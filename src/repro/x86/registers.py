@@ -130,12 +130,6 @@ def register_width(name: str) -> int:
     return view.width
 
 
-def is_vector_register(name: str) -> bool:
-    """Return whether *name* is an XMM/YMM/ZMM register."""
-    upper = name.upper()
-    return upper.startswith(("XMM", "YMM", "ZMM")) and upper in REGISTER_VIEWS
-
-
 class RegisterFile:
     """The architectural register state of one simulated logical core.
 

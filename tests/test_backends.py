@@ -36,11 +36,7 @@ from repro.backends import (
 )
 from repro.backends.analytic import AnalyticTarget
 from repro.batch import BatchRunner, spec_from_run_kwargs
-from repro.batch.checkpoint import (
-    CheckpointJournal,
-    result_from_record,
-    spec_digest,
-)
+from repro.batch.spec import result_from_record, result_record, spec_digest
 from repro.core.cli import main as cli_main
 from repro.core.nanobench import NanoBench
 from repro.core.retry import RetryPolicy, UnschedulableEventWarning
@@ -49,6 +45,7 @@ from repro.errors import (
     NanoBenchError,
     UnschedulableEventError,
 )
+from repro.store import ResultStore
 from repro.uarch.core import SimulatedCore
 
 
@@ -295,14 +292,14 @@ class TestBatchBackendTag:
         assert result.backend == "analytic"
         assert result.values["Core cycles"] == pytest.approx(1.0)
 
-    def test_journal_round_trips_backend(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
+    def test_store_round_trips_backend(self, tmp_path):
         spec = spec_from_run_kwargs(asm="add RAX, RAX", backend="analytic")
         result = spec.execute()
-        with CheckpointJournal(path) as journal:
-            journal.append(0, spec, result)
-        records = CheckpointJournal(path).load()
-        record = records[spec_digest(spec)]
+        digest = spec_digest(spec)
+        with ResultStore(str(tmp_path / "store")) as store:
+            store.put(digest, result_record(0, spec, result))
+        with ResultStore(str(tmp_path / "store")) as store:
+            record = store.get(digest)
         assert record["backend"] == "analytic"
         replayed = result_from_record(spec, record)
         assert replayed.backend == "analytic"

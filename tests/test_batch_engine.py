@@ -206,7 +206,6 @@ class TestCodegenCaches:
         assert cache_stats()["generate"] == {
             "size": 2, "maxsize": cache_stats()["generate"]["maxsize"],
             "lookups": 3, "hits": 1, "misses": 2, "evictions": 0,
-            "repairs": 0,
         }
 
     def test_configure_caches_resizes(self):

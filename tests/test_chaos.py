@@ -7,7 +7,7 @@ This is the acceptance surface of the fault-injection plane:
   class at its default (chaos) rate;
 * injected worker deaths and spec hangs are recovered via requeue and
   per-spec timeouts;
-* a killed-then-resumed batch completes from its checkpoint journal,
+* a killed-then-resumed batch completes from its result store,
   byte-identical to an uninterrupted run;
 * the min/median aggregates provably recover the true value under
   < 50 % contamination (hypothesis property test).
@@ -25,7 +25,6 @@ from repro.batch import (
     BenchmarkSpec,
     parallel_map,
 )
-from repro.core.codecache import cache_stats, cached_assemble, clear_caches
 from repro.core.nanobench import NanoBench
 from repro.core.retry import RetryPolicy
 from repro.core.runner import aggregate_values
@@ -33,6 +32,7 @@ from repro.errors import AllocationError, InjectedFaultError
 from repro.faults.plan import FaultPlan
 from repro.kernel.module import KernelModule
 from repro.perfctr.config import example_skylake_config
+from repro.store import ACTIVE_NAME, ResultStore
 
 pytestmark = pytest.mark.tier2
 
@@ -257,51 +257,57 @@ class TestChaosBatchDifferential:
 
 
 class TestCheckpointResume:
+    """Kill/resume through the durable result store."""
+
     def test_killed_then_resumed_batch_is_byte_identical(self, tmp_path):
-        path = os.fspath(tmp_path / "sweep.jsonl")
+        root = os.fspath(tmp_path / "sweep.store")
         baseline = BatchRunner(jobs=1).run(SPECS)
 
         # "Kill" the sweep after three results.
-        runner = BatchRunner(jobs=1, checkpoint=path)
+        runner = BatchRunner(jobs=1, store=root)
         stream = runner.iter_results(SPECS)
         for _ in range(3):
             next(stream)
         stream.close()
-        assert sum(1 for _ in open(path)) == 3
+        with ResultStore(root) as store:
+            assert len(store) == 3
 
-        resumed_runner = BatchRunner(jobs=2, checkpoint=path)
+        resumed_runner = BatchRunner(jobs=2, store=root)
         resumed = resumed_runner.run(SPECS)
         assert _values(resumed) == _values(baseline)
-        assert resumed_runner.last_report.n_replayed == 3
+        assert resumed_runner.last_report.n_store_hits == 3
         assert [r.replayed for r in resumed] == [True] * 3 + [False] * 3
 
     def test_resume_under_chaos_is_byte_identical(self, tmp_path):
-        path = os.fspath(tmp_path / "sweep.jsonl")
+        root = os.fspath(tmp_path / "sweep.store")
         baseline = BatchRunner(jobs=1).run(SPECS)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with FaultPlan.chaos(seed=5, scale=2.0):
-                runner = BatchRunner(jobs=2, checkpoint=path,
+                runner = BatchRunner(jobs=2, store=root,
                                      spec_timeout=5.0, max_requeues=4)
                 stream = runner.iter_results(SPECS)
                 for _ in range(2):
                     next(stream)
                 stream.close()
-                resumed = BatchRunner(jobs=2, checkpoint=path,
-                                      spec_timeout=5.0,
-                                      max_requeues=4).run(SPECS)
+                resumed_runner = BatchRunner(jobs=2, store=root,
+                                             spec_timeout=5.0,
+                                             max_requeues=4)
+                resumed = resumed_runner.run(SPECS)
         assert _values(resumed) == _values(baseline)
+        assert resumed_runner.last_report.n_store_hits == 2
+        assert [r.replayed for r in resumed] == [True] * 2 + [False] * 4
 
     def test_torn_trailing_line_is_ignored(self, tmp_path):
-        path = os.fspath(tmp_path / "sweep.jsonl")
-        runner = BatchRunner(jobs=1, checkpoint=path)
-        runner.run(SPECS[:2])
-        with open(path, "a") as handle:
+        root = os.fspath(tmp_path / "sweep.store")
+        BatchRunner(jobs=1, store=root).run(SPECS[:2])
+        with open(os.path.join(root, ACTIVE_NAME), "a") as handle:
             handle.write('{"digest": "truncated mid-wr')
-        with pytest.warns(UserWarning, match="torn write"):
-            resumed_runner = BatchRunner(jobs=1, checkpoint=path)
+        with ResultStore(root) as store:
+            resumed_runner = BatchRunner(jobs=1, store=store)
             resumed_runner.run(SPECS[:2])
-        assert resumed_runner.last_report.n_replayed == 2
+            assert store.counters.truncations == 1
+        assert resumed_runner.last_report.n_store_hits == 2
 
 
 class TestParallelMapCapture:
@@ -367,34 +373,6 @@ class TestKernelModuleRebootHealing:
             warnings.simplefilter("ignore")
             with plan, pytest.raises(AllocationError):
                 module.write_file("/sys/nb/r14_size", 1 << 20)
-
-
-class TestCacheCorruptionRepair:
-    def test_corrupted_entry_is_rebuilt(self):
-        clear_caches()
-        try:
-            source = "add RAX, 42"
-            first = cached_assemble(source)
-            plan = FaultPlan(rates={"cache.corrupt": 1.0}, seed=0)
-            with plan:
-                repaired = cached_assemble(source)
-            assert str(repaired) == str(first)
-            stats = cache_stats()["assemble"]
-            assert stats["repairs"] == 1
-            # The repaired entry serves clean hits again.
-            again = cached_assemble(source)
-            assert str(again) == str(first)
-        finally:
-            clear_caches()
-
-    def test_chaos_run_with_corruption_is_byte_identical(self):
-        baseline, _ = _e1_run()
-        plan = FaultPlan(rates={"cache.corrupt": 0.5}, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with plan:
-                chaotic, _ = _e1_run()
-        assert chaotic == baseline
 
 
 class TestAggregateContaminationProperty:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.batch.checkpoint import spec_digest
+from repro.batch.spec import spec_digest
 from repro.core.cli import main as cli_main
 from repro.fuzz import (
     DifferentialFuzzer,
@@ -161,7 +161,7 @@ class TestDivergenceCorpus:
         assert (kernel_digest(a, **digest_kw)
                 == kernel_digest(b, **digest_kw))
         # The executable spec keeps the label (and so a distinct
-        # checkpoint-journal digest) — only corpus identity blanks it.
+        # result-store digest) — only corpus identity blanks it.
         spec_a = record_spec(a, **digest_kw)
         spec_b = record_spec(b, **digest_kw)
         assert spec_digest(spec_a) != spec_digest(spec_b)

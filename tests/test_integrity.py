@@ -1,17 +1,14 @@
 """Tests for ``repro.integrity``: pre-flight validation, runaway
 watchdogs, adaptive stability control, and the robustness surfaces that
 ride on them (options conflicts, config diagnostics, the
-``validate-config`` CLI, checkpoint corruption recovery)."""
+``validate-config`` CLI)."""
 
-import json
 import pickle
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.batch import BatchRunner
-from repro.batch.checkpoint import CheckpointJournal, _record_checksum
 from repro.batch.spec import spec_from_run_kwargs
 from repro.core.cli import main as cli_main
 from repro.core.nanobench import NanoBench
@@ -681,87 +678,6 @@ class TestCliIntegrityFlags:
         rc = cli_main(["-asm", "nop", "-cycle_budget", "0"])
         assert rc == 1
         assert "invalid options:" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# Satellite: checkpoint journal corruption recovery
-# ----------------------------------------------------------------------
-
-def _run_checkpointed(path, specs):
-    runner = BatchRunner(1, checkpoint=str(path))
-    return runner.run(specs)
-
-
-def _journal_specs():
-    return [
-        spec_from_run_kwargs(asm="nop", n_measurements=2, unroll_count=5,
-                             label="a"),
-        spec_from_run_kwargs(asm="add RAX, RAX", n_measurements=2,
-                             unroll_count=5, label="b"),
-    ]
-
-
-class TestCheckpointCorruption:
-    def test_records_carry_checksums(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        _run_checkpointed(path, _journal_specs())
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            record = json.loads(line)
-            assert record["sha"] == _record_checksum(record)
-
-    def test_bit_flipped_record_is_reexecuted(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        specs = _journal_specs()
-        baseline = _run_checkpointed(path, specs)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[0])
-        next(iter(record["values"].keys()))  # has values to corrupt
-        name = list(record["values"])[0]
-        record["values"][name] += 1.0  # the flip; sha left stale
-        lines[0] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.warns(UserWarning, match="checksum mismatch"):
-            resumed = _run_checkpointed(path, specs)
-        # The corrupted spec was re-executed, the intact one replayed...
-        assert not resumed[0].replayed
-        assert resumed[1].replayed
-        # ...and the re-execution reproduced the baseline values.
-        assert resumed[0].values == baseline[0].values
-        assert resumed[1].values == baseline[1].values
-
-    def test_duplicate_digest_keeps_later_record(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        specs = _journal_specs()
-        _run_checkpointed(path, specs)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[1])
-        name = list(record["values"])[0]
-        record["values"][name] = 12345.0
-        record["sha"] = _record_checksum(record)  # valid but conflicting
-        path.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
-        journal = CheckpointJournal(str(path))
-        with pytest.warns(UserWarning, match="duplicates digest"):
-            records = journal.load()
-        assert len(records) == 2
-        assert records[json.loads(lines[1])["digest"]]["values"][name] == 12345.0
-
-    def test_legacy_records_without_sha_still_replay(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        specs = _journal_specs()
-        baseline = _run_checkpointed(path, specs)
-        stripped = []
-        for line in path.read_text().splitlines():
-            record = json.loads(line)
-            record.pop("sha")
-            stripped.append(json.dumps(record))
-        path.write_text("\n".join(stripped) + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resumed = _run_checkpointed(path, specs)
-        assert all(result.replayed for result in resumed)
-        assert [r.values for r in resumed] == [r.values for r in baseline]
 
 
 # ----------------------------------------------------------------------

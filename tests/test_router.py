@@ -12,7 +12,7 @@ bugfixes that ride along in the same PR:
 * the continuous audit is a deterministic content-hash sample, never
   lets a wrong answer through (the exact values are returned), and
   quarantines + records divergences in the PR 6 corpus format;
-* routing attribution flows through BatchResult, the checkpoint codec,
+* routing attribution flows through BatchResult, the stored-record codec,
   the job queue's counters, and ``-backend auto`` on the CLI;
 * regression pins: fractional ``Retry-After`` headers are ceiled while
   the JSON body keeps the exact float, ``backend_names`` order is
@@ -35,7 +35,7 @@ from repro.backends.registry import (
     register_backend,
 )
 from repro.batch import spec_from_run_kwargs
-from repro.batch.checkpoint import journal_record, result_from_record
+from repro.batch.spec import result_from_record, result_record
 from repro.core.cli import main as cli_main
 from repro.core.nanobench import NanoBench
 from repro.errors import QuotaExceededError
@@ -337,8 +337,8 @@ class TestAttribution:
         result = spec.execute()
         assert result.ok and result.served_by == "analytic"
         assert result.router_audited is False
-        # The checkpoint codec round-trips the attribution.
-        record = journal_record(0, spec, result)
+        # The stored-record codec round-trips the attribution.
+        record = result_record(0, spec, result)
         restored = result_from_record(spec, record)
         assert restored.served_by == "analytic"
         assert restored.router_audited is False

@@ -5,8 +5,8 @@ classification, torn-tail truncation, interior-corruption quarantine
 with read-repair, rotation/compaction atomicity, TTL/size eviction,
 advisory locking, the :class:`BatchRunner` / characterization / survey
 wiring (resubmitted work answers from the store with zero
-re-simulation), legacy-journal migration, the ``nanobench store`` CLI,
-and hypothesis property tests over arbitrary truncation and bit-flips.
+re-simulation), the ``nanobench store`` CLI, and hypothesis property
+tests over arbitrary truncation and bit-flips.
 """
 
 import json
@@ -17,11 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import (
-    BatchRunner,
-    CheckpointJournal,
-    spec_from_run_kwargs,
-)
+from repro.batch import BatchRunner, spec_from_run_kwargs
 from repro.core.cli import main as cli_main
 from repro.errors import StoreLockError
 from repro.store import (
@@ -38,7 +34,7 @@ from repro.store import (
 
 
 def _payload(i, value=None):
-    """A small record payload shaped like a journal record."""
+    """A small record payload shaped like a benchmark-result record."""
     return {
         "v": 1,
         "label": "spec-%d" % i,
@@ -78,29 +74,31 @@ def _values(results):
 class TestRecords:
     def test_checksum_ignores_sha_field(self):
         record = {"digest": "d", "values": {"x": 1.5}}
-        sha = record_checksum(record, hexdigits=64)
+        sha = record_checksum(record)
         record["sha"] = sha
-        assert record_checksum(record, hexdigits=64) == sha
+        assert len(sha) == 64
+        assert record_checksum(record) == sha
         assert validate_record(record) == (True, "")
 
-    def test_validate_infers_checksum_width(self):
+    def test_validate_rejects_truncated_checksum(self):
         record = {"digest": "d", "values": {"x": 1.5}}
-        record["sha"] = record_checksum(record, hexdigits=16)
-        assert validate_record(record)[0]
-        record["sha"] = record_checksum(record, hexdigits=64)
+        record["sha"] = record_checksum(record)[:16]
+        assert validate_record(record) == (False, "malformed checksum")
+        record["sha"] = record_checksum(record)
         assert validate_record(record)[0]
 
     def test_validate_rejects_flip_and_missing_digest(self):
         record = {"digest": "d", "values": {"x": 1.5}}
-        record["sha"] = record_checksum(record, hexdigits=64)
+        record["sha"] = record_checksum(record)
         record["values"]["x"] = 2.5
         ok, reason = validate_record(record)
         assert not ok and reason == "checksum mismatch"
         assert not validate_record({"values": {}})[0]
         assert not validate_record([1, 2])[0]
 
-    def test_records_without_sha_accepted(self):
-        assert validate_record({"digest": "d", "values": {}})[0]
+    def test_records_without_sha_rejected(self):
+        assert validate_record({"digest": "d", "values": {}}) == (
+            False, "missing checksum")
 
 
 class TestSegmentScan:
@@ -110,7 +108,7 @@ class TestSegmentScan:
 
     def _line(self, i):
         record = dict(_payload(i), digest=_digest(i))
-        record["sha"] = record_checksum(record, hexdigits=64)
+        record["sha"] = record_checksum(record)
         return encode_record(record)
 
     def test_clean_scan(self, tmp_path):
@@ -153,7 +151,7 @@ class TestResultStore:
         root = str(tmp_path / "store")
         with ResultStore(root) as store:
             written = store.put(_digest(1), _payload(1))
-            assert written["sha"] == record_checksum(written, hexdigits=64)
+            assert written["sha"] == record_checksum(written)
             assert store.get(_digest(1))["values"] == {"Core cycles": 1.0}
             assert _digest(1) in store and len(store) == 1
         with ResultStore(root) as store:
@@ -280,6 +278,27 @@ class TestCrashRecovery:
         assert len(store) == 3
         store.close()
 
+    def test_damaged_sha_key_is_corruption(self, tmp_path):
+        # One flipped bit renames the first record's "sha" key to
+        # "rha"; the record must not be served without its checksum.
+        root = str(tmp_path / "s")
+        _build_reference(root)
+        active = os.path.join(root, ACTIVE_NAME)
+        data = bytearray(open(active, "rb").read())
+        data[data.index(b'"sha"') + 1] ^= 0x01
+        with open(active, "wb") as handle:
+            handle.write(bytes(data))
+        report = verify_store(root)
+        assert report.corrupt_lines == 1
+        assert report.problems == [ACTIVE_NAME + "@0: missing checksum"]
+        with pytest.warns(UserWarning, match="quarantined"):
+            store = ResultStore(root)
+        assert store.get(_digest(0)) is None
+        assert len(store) == 5
+        store.put(_digest(0), _payload(0))
+        assert _digest(0) in store
+        store.close()
+
 
 class TestEviction:
     def test_ttl_eviction(self, tmp_path):
@@ -379,11 +398,6 @@ class TestMultiHandle:
 # BatchRunner wiring: zero re-simulation and kill/resume byte-identity
 # ----------------------------------------------------------------------
 class TestBatchRunnerStore:
-    def test_store_and_checkpoint_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            BatchRunner(1, checkpoint=str(tmp_path / "j"),
-                        store=str(tmp_path / "s"))
-
     @pytest.mark.no_chaos
     def test_resubmission_is_answered_entirely_from_store(self, tmp_path):
         root = str(tmp_path / "store")
@@ -434,75 +448,6 @@ class TestBatchRunnerStore:
         replay = BatchRunner(1, store=root).run(bad)
         assert not replay[0].ok
         assert replay[0].error == results[0].error
-
-
-# ----------------------------------------------------------------------
-# Legacy journal: hardening and migration
-# ----------------------------------------------------------------------
-class TestJournalHardening:
-    def _journal(self, path, specs):
-        runner = BatchRunner(1, checkpoint=str(path))
-        return runner.run(specs)
-
-    def test_corrupt_interior_line_skipped_with_salvage(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        specs = _specs()
-        baseline = self._journal(path, specs)
-        lines = path.read_bytes().splitlines(True)
-        # The crash-then-resume shape: a torn prefix and the next valid
-        # record share one physical line.
-        merged = lines[0][:15] + lines[1]
-        path.write_bytes(merged + lines[2])
-        with pytest.warns(UserWarning, match="salvaged 1 appended"):
-            resumed = self._journal(path, specs)
-        # Spec 0 (torn) re-executed; specs 1 and 2 (salvaged + intact)
-        # replayed; values byte-identical throughout.
-        assert not resumed[0].replayed
-        assert resumed[1].replayed and resumed[2].replayed
-        assert _values(resumed) == _values(baseline)
-
-    def test_append_after_torn_tail_starts_fresh_line(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        specs = _specs()
-        baseline = self._journal(path, specs[:2])
-        with open(path, "ab") as handle:
-            handle.write(b'{"v": 1, "digest": "to')  # no newline
-        with pytest.warns(UserWarning, match="torn write"):
-            resumed = self._journal(path, specs)
-        assert _values(resumed) == _values(baseline
-                                           + BatchRunner(1).run(specs[2:]))
-        # The journal now parses cleanly: the fresh-line guard kept the
-        # new record off the torn line.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            records = CheckpointJournal(str(path)).load()
-        assert len(records) == 3
-
-
-class TestJournalImport:
-    def test_imported_journal_replays_byte_identically(self, tmp_path):
-        journal_path = tmp_path / "journal.jsonl"
-        specs = _specs()
-        baseline = BatchRunner(1, checkpoint=str(journal_path)).run(specs)
-
-        root = str(tmp_path / "store")
-        with ResultStore(root) as store:
-            stats = store.import_journal(str(journal_path))
-        assert stats.imported == len(specs) and stats.skipped == 0
-
-        runner = BatchRunner(1, store=root)
-        replayed = runner.run(specs)
-        assert runner.last_report.n_store_hits == len(specs)
-        assert _values(replayed) == _values(baseline)
-
-    def test_import_skips_corrupt_lines(self, tmp_path):
-        journal_path = tmp_path / "journal.jsonl"
-        BatchRunner(1, checkpoint=str(journal_path)).run(_specs()[:2])
-        with open(journal_path, "ab") as handle:
-            handle.write(b"garbage line\n")
-        with ResultStore(str(tmp_path / "store")) as store:
-            stats = store.import_journal(str(journal_path))
-        assert stats.imported == 2 and stats.skipped == 1
 
 
 # ----------------------------------------------------------------------
@@ -644,18 +589,8 @@ class TestStoreCli:
         assert cli_main(["store", "gc", root, "-ttl", "0.000001"]) == 0
         assert "evicted 3" in capsys.readouterr().out
 
-    def test_import_subcommand(self, tmp_path, capsys):
-        journal_path = tmp_path / "journal.jsonl"
-        BatchRunner(1, checkpoint=str(journal_path)).run(_specs()[:2])
-        root = str(tmp_path / "store")
-        assert cli_main(["store", "import", root, str(journal_path)]) == 0
-        assert "imported 2 record(s)" in capsys.readouterr().out
-        with ResultStore(root) as store:
-            assert len(store) == 2
-
     def test_usage_errors(self, tmp_path, capsys):
         root = str(tmp_path / "store")
-        assert cli_main(["store", "import", root]) == 2
         assert cli_main(["store", "gc", root]) == 2
         assert cli_main(["store", "stats",
                          str(tmp_path / "missing")]) == 1
@@ -679,48 +614,6 @@ class TestStoreCli:
         second = capsys.readouterr()
         assert "# store: 2 answered from the store, 0 executed" in second.err
         assert second.out == first.out
-
-    @pytest.mark.no_chaos
-    def test_checkpoint_flag_migrates_to_store(self, tmp_path, capsys):
-        journal_path = tmp_path / "sweep.jsonl"
-        batch = self._batch_file(tmp_path)
-        flags = ["-batch", batch, "-checkpoint", str(journal_path),
-                 "-n_measurements", "2", "-unroll_count", "5"]
-        # First run: fresh path becomes a store rooted there.
-        assert cli_main(flags) == 0
-        first = capsys.readouterr()
-        assert "-checkpoint is deprecated" in first.err
-        assert os.path.isdir(str(journal_path))
-        # Second run replays everything from that store.
-        assert cli_main(flags) == 0
-        second = capsys.readouterr()
-        assert "2 answered from the store" in second.err
-        assert second.out == first.out
-
-    def test_legacy_journal_file_is_migrated(self, tmp_path, capsys):
-        journal_path = tmp_path / "sweep.jsonl"
-        # A legacy single-file journal from an old run...
-        BatchRunner(1, checkpoint=str(journal_path)).run(_specs()[:1])
-        assert os.path.isfile(str(journal_path))
-        batch = tmp_path / "batch.txt"
-        batch.write_text("nop\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rc = cli_main(["-batch", str(batch), "-checkpoint",
-                           str(journal_path), "-n_measurements", "2",
-                           "-unroll_count", "5"])
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "migrated legacy journal" in err
-        assert os.path.isdir(str(journal_path))
-        assert os.path.isfile(str(journal_path) + ".legacy-journal")
-
-    def test_store_and_checkpoint_flags_conflict(self, tmp_path, capsys):
-        batch = self._batch_file(tmp_path)
-        rc = cli_main(["-batch", batch, "-store", str(tmp_path / "s"),
-                       "-checkpoint", str(tmp_path / "j")])
-        assert rc == 1
-        assert "not both" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
